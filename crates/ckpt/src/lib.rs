@@ -18,6 +18,7 @@
 //!   and fault injection, [`DirSink`] for real interrupted runs, and
 //!   [`FailingSink`] as the scheduled-I/O-failure test double. Storage
 //!   failures surface as typed [`CkptError::Io`] values, never silently.
+//!   [`newest_valid`] is the one resume walk over a sink, newest first.
 //! * [`validate`] — a lint-grade walker that collects *every* defect in a
 //!   byte stream (bad magic, version mismatch, checksum failures,
 //!   truncation, orphan trailing bytes, duplicate sections) instead of
@@ -39,5 +40,5 @@ mod state;
 pub use crc32::crc32;
 pub use error::CkptError;
 pub use format::{validate, SnapshotFile, FORMAT_VERSION, MAGIC};
-pub use sink::{CheckpointSink, DirSink, FailingSink, MemorySink};
+pub use sink::{newest_valid, CheckpointSink, DirSink, FailingSink, MemorySink};
 pub use state::{key, Restore, Snapshot, State, Value};

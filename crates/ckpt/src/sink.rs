@@ -36,6 +36,23 @@ pub trait CheckpointSink {
     fn remove(&mut self, epoch: usize);
 }
 
+/// Walks `sink` from its newest snapshot to its oldest and returns the
+/// first one `decode` accepts, with its epoch. The newest `skip` slots are
+/// passed over without being loaded. A load that fails, a missing
+/// snapshot, and bytes `decode` rejects all fall through to the next older
+/// snapshot: resuming never starts from unreadable or corrupt state.
+/// `None` means nothing survived, and the caller starts from scratch.
+pub fn newest_valid<T, E>(
+    sink: &(impl CheckpointSink + ?Sized),
+    skip: usize,
+    mut decode: impl FnMut(&[u8]) -> Result<T, E>,
+) -> Option<(usize, T)> {
+    sink.epochs().iter().rev().skip(skip).find_map(|&epoch| {
+        let bytes = sink.load(epoch).ok()??;
+        decode(&bytes).ok().map(|value| (epoch, value))
+    })
+}
+
 /// A mutable borrow of a sink is itself a sink, so drivers can be written
 /// generically over sink *ownership*: a one-shot runner borrows the
 /// caller's sink, a long-lived served session owns its own.
@@ -339,6 +356,66 @@ mod tests {
         assert!(sink.load(7).unwrap().is_none());
         sink.remove(5);
         assert_eq!(sink.epochs(), vec![10]);
+    }
+
+    /// Decodes the test snapshots below: bytes that start with `ok` are
+    /// valid; anything else is corrupt.
+    fn decode_ok(bytes: &[u8]) -> Result<String, CkptError> {
+        match bytes.strip_prefix(b"ok") {
+            Some(rest) => Ok(String::from_utf8_lossy(rest).into_owned()),
+            None => Err(CkptError::MetaMismatch {
+                what: "not ok".to_string(),
+            }),
+        }
+    }
+
+    #[test]
+    fn newest_valid_returns_the_newest_snapshot_that_decodes() {
+        let mut sink = MemorySink::new();
+        sink.save(1, b"ok-one").unwrap();
+        sink.save(4, b"ok-four").unwrap();
+        sink.save(2, b"ok-two").unwrap();
+        assert_eq!(
+            newest_valid(&sink, 0, decode_ok),
+            Some((4, "-four".to_string()))
+        );
+    }
+
+    #[test]
+    fn newest_valid_skips_failed_loads_and_rejected_snapshots() {
+        let mut inner = MemorySink::new();
+        inner.save(1, b"ok-one").unwrap();
+        inner.save(2, b"corrupt").unwrap();
+        inner.save(3, b"ok-three").unwrap();
+        let sink = FailingSink::new(inner).fail_load_at(3);
+        let mut seen = Vec::new();
+        let found = newest_valid(&sink, 0, |bytes| {
+            seen.push(bytes.to_vec());
+            decode_ok(bytes)
+        });
+        assert_eq!(found, Some((1, "-one".to_string())));
+        // The failed load never reached the decoder; the rejected one did.
+        assert_eq!(seen, vec![b"corrupt".to_vec(), b"ok-one".to_vec()]);
+    }
+
+    #[test]
+    fn newest_valid_passes_over_skipped_slots_unseen() {
+        let mut sink = MemorySink::new();
+        sink.save(1, b"ok-one").unwrap();
+        sink.save(2, b"ok-two").unwrap();
+        let mut seen = Vec::new();
+        let found = newest_valid(&sink, 1, |bytes| {
+            seen.push(bytes.to_vec());
+            decode_ok(bytes)
+        });
+        assert_eq!(found, Some((1, "-one".to_string())));
+        assert_eq!(seen, vec![b"ok-one".to_vec()]);
+        assert_eq!(newest_valid(&sink, 2, decode_ok), None);
+    }
+
+    #[test]
+    fn newest_valid_on_an_empty_sink_is_none() {
+        assert_eq!(newest_valid(&MemorySink::new(), 0, decode_ok), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! version-skewed or corrupted snapshot recoverable — the runner just falls
 //! back to the next older one.
 
-use aibench_ckpt::{CheckpointSink, CkptError, SnapshotFile, State};
+use aibench_ckpt::{newest_valid, CheckpointSink, CkptError, SnapshotFile, State};
 use aibench_models::Trainer;
 
 use crate::registry::Benchmark;
@@ -52,6 +52,56 @@ impl PartialRun {
             final_quality: f64::NAN,
         }
     }
+
+    /// Appends the progress keys to `state`. The same keys, in the same
+    /// order, are a contiguous run of [`RunResult::to_state`]'s keys, so a
+    /// snapshot's `progress` section and a wire result share one codec.
+    pub fn put_state(&self, state: &mut State) {
+        state.put_usize("epochs_run", self.epochs_run);
+        state.put_bool("converged", self.epochs_to_target.is_some());
+        state.put_usize("epochs_to_target", self.epochs_to_target.unwrap_or(0));
+        state.put_u64s(
+            "quality_epochs",
+            self.quality_trace.iter().map(|&(e, _)| e as u64).collect(),
+        );
+        state.put_f64s(
+            "quality_values",
+            self.quality_trace.iter().map(|&(_, q)| q).collect(),
+        );
+        state.put_f32s(
+            "loss_trace",
+            &[self.loss_trace.len()],
+            self.loss_trace.clone(),
+        );
+        state.put_f64("final_quality", self.final_quality);
+    }
+
+    /// Decodes progress written by [`PartialRun::put_state`]. A missing or
+    /// mistyped key, or a quality trace whose epoch and value lists differ
+    /// in length, is an error.
+    pub fn take_state(state: &State) -> Result<PartialRun, CkptError> {
+        let epochs = state.u64s("quality_epochs")?;
+        let values = state.f64s("quality_values")?;
+        if epochs.len() != values.len() {
+            return Err(CkptError::MetaMismatch {
+                what: "quality trace epochs/values lengths differ".to_string(),
+            });
+        }
+        Ok(PartialRun {
+            epochs_run: state.usize("epochs_run")?,
+            epochs_to_target: state
+                .bool("converged")?
+                .then(|| state.usize("epochs_to_target"))
+                .transpose()?,
+            quality_trace: epochs
+                .iter()
+                .zip(values)
+                .map(|(&e, &q)| (e as usize, q))
+                .collect(),
+            loss_trace: state.f32s("loss_trace")?.1.to_vec(),
+            final_quality: state.f64("final_quality")?,
+        })
+    }
 }
 
 impl Default for PartialRun {
@@ -76,27 +126,7 @@ pub fn snapshot_run(
     meta.put_usize("eval_every", config.eval_every);
 
     let mut prog = State::new();
-    prog.put_usize("epochs_run", progress.epochs_run);
-    prog.put_bool("converged", progress.epochs_to_target.is_some());
-    prog.put_usize("epochs_to_target", progress.epochs_to_target.unwrap_or(0));
-    prog.put_u64s(
-        "quality_epochs",
-        progress
-            .quality_trace
-            .iter()
-            .map(|&(e, _)| e as u64)
-            .collect(),
-    );
-    prog.put_f64s(
-        "quality_values",
-        progress.quality_trace.iter().map(|&(_, q)| q).collect(),
-    );
-    prog.put_f32s(
-        "loss_trace",
-        &[progress.loss_trace.len()],
-        progress.loss_trace.clone(),
-    );
-    prog.put_f64("final_quality", progress.final_quality);
+    progress.put_state(&mut prog);
 
     let mut trainer_state = State::new();
     trainer.save_state(&mut trainer_state);
@@ -146,28 +176,7 @@ pub fn restore_run(
         ));
     }
 
-    let prog = file.section("progress")?;
-    let epochs = prog.u64s("quality_epochs")?;
-    let values = prog.f64s("quality_values")?;
-    if epochs.len() != values.len() {
-        return Err(CkptError::MetaMismatch {
-            what: "quality trace epochs/values lengths differ".to_string(),
-        });
-    }
-    let progress = PartialRun {
-        epochs_run: prog.usize("epochs_run")?,
-        epochs_to_target: prog
-            .bool("converged")?
-            .then(|| prog.usize("epochs_to_target"))
-            .transpose()?,
-        quality_trace: epochs
-            .iter()
-            .zip(values)
-            .map(|(&e, &q)| (e as usize, q))
-            .collect(),
-        loss_trace: prog.f32s("loss_trace")?.1.to_vec(),
-        final_quality: prog.f64("final_quality")?,
-    };
+    let progress = PartialRun::take_state(file.section("progress")?)?;
 
     let mut trainer = benchmark.build(seed);
     trainer.load_state(file.section("trainer")?)?;
@@ -178,24 +187,28 @@ pub fn restore_run(
 /// first that decodes, matches this run's identity, and restores cleanly,
 /// together with its epoch. Unreadable (I/O error), corrupt, and mismatched
 /// snapshots are skipped in favor of the next older — that fallback *is*
-/// the recovery policy at this layer; callers that need to distinguish a
-/// clean miss from storage trouble (the supervised runner) inspect the sink
-/// themselves.
+/// the recovery policy at this layer.
 pub fn latest_valid_restore(
     benchmark: &Benchmark,
     seed: u64,
     config: &RunConfig,
     sink: &dyn CheckpointSink,
 ) -> Option<(Box<dyn Trainer>, PartialRun, usize)> {
-    for &epoch in sink.epochs().iter().rev() {
-        let Ok(Some(bytes)) = sink.load(epoch) else {
-            continue;
-        };
-        if let Ok((t, p)) = restore_run(benchmark, seed, config, &bytes) {
-            return Some((t, p, epoch));
-        }
-    }
-    None
+    restore_newest(benchmark, seed, config, sink, 0)
+}
+
+/// [`latest_valid_restore`] passing over the newest `skip` snapshots
+/// without loading them — how a supervised rollback treats a snapshot
+/// slot made unreadable by a scheduled load failure.
+pub(crate) fn restore_newest(
+    benchmark: &Benchmark,
+    seed: u64,
+    config: &RunConfig,
+    sink: &dyn CheckpointSink,
+    skip: usize,
+) -> Option<(Box<dyn Trainer>, PartialRun, usize)> {
+    newest_valid(sink, skip, |bytes| restore_run(benchmark, seed, config, bytes))
+        .map(|(epoch, (trainer, progress))| (trainer, progress, epoch))
 }
 
 /// The engine behind the resumable runner: resumes from the newest valid
@@ -215,28 +228,8 @@ fn run_session(
     epoch_budget: Option<usize>,
 ) -> Result<Option<RunResult>, CkptError> {
     let mut session = TrainingSession::resume(benchmark, seed, config, sink);
-
-    // The session steps through exactly `run_to_quality`'s call sequence —
-    // same eval cadence — so the trajectory is bit-identical. `executed`
-    // counts epochs run in *this* session, for the kill budget.
-    let mut executed = 0;
-    while !session.finished() {
-        if epoch_budget.is_some_and(|budget| executed >= budget) {
-            return Ok(None); // simulated kill
-        }
-        executed += 1;
-        session.step();
-        if session.converged() {
-            break; // converged runs never checkpoint their final epoch
-        }
-        if config.checkpoint_every > 0
-            && session.epochs_run().is_multiple_of(config.checkpoint_every)
-        {
-            session.checkpoint(sink)?;
-        }
-    }
-
-    Ok(Some(session.result()))
+    let finished = session.run(epoch_budget, Some(sink))?;
+    Ok(finished.then(|| session.result()))
 }
 
 /// Runs an entire training session like

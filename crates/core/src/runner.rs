@@ -1,9 +1,14 @@
 //! The training runner: executes entire training sessions of the scaled
 //! benchmarks to their quality targets.
+//!
+//! [`run_to_quality`] is the plain driver over the one single-worker
+//! session engine, [`TrainingSession`]: it opens a fresh session and runs
+//! it to the end. The resumable runners in [`crate::ckpt`] and the
+//! supervised runner in `aibench-fault` drive the same engine.
 
-use std::time::Instant;
-
+use crate::ckpt::PartialRun;
 use crate::registry::Benchmark;
+use crate::session::TrainingSession;
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,23 +79,14 @@ impl RunResult {
         let mut state = aibench_ckpt::State::new();
         state.put_str("code", &self.code);
         state.put_u64("seed", self.seed);
-        state.put_usize("epochs_run", self.epochs_run);
-        state.put_bool("converged", self.epochs_to_target.is_some());
-        state.put_usize("epochs_to_target", self.epochs_to_target.unwrap_or(0));
-        state.put_u64s(
-            "quality_epochs",
-            self.quality_trace.iter().map(|&(e, _)| e as u64).collect(),
-        );
-        state.put_f64s(
-            "quality_values",
-            self.quality_trace.iter().map(|&(_, q)| q).collect(),
-        );
-        state.put_f32s(
-            "loss_trace",
-            &[self.loss_trace.len()],
-            self.loss_trace.clone(),
-        );
-        state.put_f64("final_quality", self.final_quality);
+        PartialRun {
+            epochs_run: self.epochs_run,
+            epochs_to_target: self.epochs_to_target,
+            quality_trace: self.quality_trace.clone(),
+            loss_trace: self.loss_trace.clone(),
+            final_quality: self.final_quality,
+        }
+        .put_state(&mut state);
         state.put_f64("wall_seconds", self.wall_seconds);
         state.put_bool("resumed", self.resumed_from.is_some());
         state.put_usize("resumed_from", self.resumed_from.unwrap_or(0));
@@ -101,28 +97,15 @@ impl RunResult {
     /// mistyped key surfaces as an error — wire corruption must never pass
     /// for a result.
     pub fn from_state(state: &aibench_ckpt::State) -> Result<RunResult, aibench_ckpt::CkptError> {
-        let epochs = state.u64s("quality_epochs")?;
-        let values = state.f64s("quality_values")?;
-        if epochs.len() != values.len() {
-            return Err(aibench_ckpt::CkptError::MetaMismatch {
-                what: "quality trace epochs/values lengths differ".to_string(),
-            });
-        }
+        let progress = PartialRun::take_state(state)?;
         Ok(RunResult {
             code: state.str("code")?.to_string(),
             seed: state.u64("seed")?,
-            epochs_run: state.usize("epochs_run")?,
-            epochs_to_target: state
-                .bool("converged")?
-                .then(|| state.usize("epochs_to_target"))
-                .transpose()?,
-            quality_trace: epochs
-                .iter()
-                .zip(values)
-                .map(|(&e, &q)| (e as usize, q))
-                .collect(),
-            loss_trace: state.f32s("loss_trace")?.1.to_vec(),
-            final_quality: state.f64("final_quality")?,
+            epochs_run: progress.epochs_run,
+            epochs_to_target: progress.epochs_to_target,
+            quality_trace: progress.quality_trace,
+            loss_trace: progress.loss_trace,
+            final_quality: progress.final_quality,
             wall_seconds: state.f64("wall_seconds")?,
             resumed_from: state
                 .bool("resumed")?
@@ -162,42 +145,14 @@ impl RunResult {
 
 /// Runs an entire training session of `benchmark` with the given seed:
 /// trains epoch by epoch, evaluating the quality metric, until the target
-/// is met or `config.max_epochs` is exhausted.
+/// is met or `config.max_epochs` is exhausted. A plain driver over
+/// [`TrainingSession`], with no checkpoints and no kill budget.
 pub fn run_to_quality(benchmark: &Benchmark, seed: u64, config: &RunConfig) -> RunResult {
-    if let Some(par) = config.parallel {
-        par.install();
-    }
-    let start = Instant::now();
-    let mut trainer = benchmark.build(seed);
-    let mut quality_trace = Vec::new();
-    let mut loss_trace = Vec::new();
-    let mut epochs_to_target = None;
-    let mut final_quality = f64::NAN;
-    let mut epochs_run = 0;
-    for epoch in 1..=config.max_epochs {
-        loss_trace.push(trainer.train_epoch());
-        epochs_run = epoch;
-        if epoch % config.eval_every.max(1) == 0 || epoch == config.max_epochs {
-            let q = trainer.evaluate();
-            quality_trace.push((epoch, q));
-            final_quality = q;
-            if benchmark.target.met_by(q) {
-                epochs_to_target = Some(epoch);
-                break;
-            }
-        }
-    }
-    RunResult {
-        code: benchmark.id.code().to_string(),
-        seed,
-        epochs_run,
-        epochs_to_target,
-        quality_trace,
-        loss_trace,
-        final_quality,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        resumed_from: None,
-    }
+    let mut session = TrainingSession::fresh(benchmark, seed, config);
+    session
+        .run(None, None)
+        .expect("a session without a sink never fails to save");
+    session.result()
 }
 
 #[cfg(test)]

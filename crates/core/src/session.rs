@@ -1,22 +1,32 @@
-//! The session lifecycle API: an open, steppable training session.
+//! The single-worker session engine: an open, steppable training session.
 //!
-//! [`run_to_quality`](crate::runner::run_to_quality) and the resumable
-//! runner treat a session as a closed loop — start it, get a
-//! [`RunResult`] back. A scheduler (the `aibench-serve` server) needs the
-//! loop *open*: run one epoch, look at the progress, snapshot the session,
-//! park it to free its worker slot, and resume it later — bitwise
-//! identically — when capacity returns. [`TrainingSession`] is that open
-//! form; the closed runners are thin drivers over it.
+//! [`TrainingSession`] is the only owner of a single-worker session's
+//! state: the trainer, the [`PartialRun`] progress, the eval cadence and
+//! target check, park/unpark through [`snapshot_run`] and the strict
+//! restore path, and [`RunResult`] construction. Every single-worker
+//! runner is a driver over it:
+//!
+//! * [`run_to_quality`](crate::runner::run_to_quality) opens a fresh
+//!   session and [`run`](TrainingSession::run)s it to the end;
+//! * the resumable runners in [`crate::ckpt`] resume one from a sink and
+//!   run it with a checkpoint cadence and, for crash simulation, a kill
+//!   budget;
+//! * `aibench-fault`'s `SupervisedSession` wraps one in fault injection,
+//!   sentinels and recovery, stepping it through
+//!   [`commit_loss`](TrainingSession::commit_loss),
+//!   [`eval_due`](TrainingSession::eval_due) and
+//!   [`record_quality`](TrainingSession::record_quality) so it can inspect
+//!   each value before it lands. A scheduler (the `aibench-serve` server)
+//!   parks and resumes those sessions to share a worker budget.
 //!
 //! # Determinism contract
 //!
-//! Stepping a session epoch by epoch performs exactly the call sequence of
-//! [`run_to_quality`](crate::runner::run_to_quality) — `train_epoch`, then
-//! `evaluate` on the same cadence — so a driven session reproduces the
-//! plain runner's trajectory bit for bit. [`TrainingSession::park`] saves
-//! a snapshot through [`snapshot_run`] and
-//! [`TrainingSession::unpark`] restores it through the same strict path
-//! the resumable runner uses, so a parked-and-resumed session is
+//! Every driver performs the same call sequence — `train_epoch`, then
+//! `evaluate` on the `eval_every` cadence and always at the epoch cap — so
+//! each reproduces the others' trajectory bit for bit.
+//! [`TrainingSession::park`] saves a snapshot through [`snapshot_run`] and
+//! [`TrainingSession::unpark`] restores it through the same strict path the
+//! resumable runner uses, so a parked-and-resumed session is
 //! [`RunResult::deterministic_eq`] to one that never stopped.
 
 use std::time::Instant;
@@ -24,7 +34,7 @@ use std::time::Instant;
 use aibench_ckpt::{CheckpointSink, CkptError};
 use aibench_models::Trainer;
 
-use crate::ckpt::{latest_valid_restore, snapshot_run, PartialRun};
+use crate::ckpt::{restore_newest, snapshot_run, PartialRun};
 use crate::registry::Benchmark;
 use crate::runner::{RunConfig, RunResult};
 
@@ -43,22 +53,28 @@ pub struct TrainingSession<'a> {
 }
 
 impl<'a> TrainingSession<'a> {
-    /// Opens a fresh session at epoch 0. Installs `config.parallel` if set,
-    /// exactly like the closed runners.
-    pub fn fresh(benchmark: &'a Benchmark, seed: u64, config: &RunConfig) -> Self {
+    /// A session at epoch 0 with no trainer yet. Installs `config.parallel`
+    /// if set and starts the wall clock.
+    fn parked(benchmark: &'a Benchmark, seed: u64, config: &RunConfig) -> Self {
         if let Some(par) = config.parallel {
             par.install();
         }
-        let start = Instant::now();
         TrainingSession {
             benchmark,
             seed,
             config: *config,
-            trainer: Some(benchmark.build(seed)),
+            trainer: None,
             progress: PartialRun::fresh(),
             resumed_from: None,
-            start,
+            start: Instant::now(),
         }
+    }
+
+    /// Opens a fresh session at epoch 0. Installs `config.parallel` if set.
+    pub fn fresh(benchmark: &'a Benchmark, seed: u64, config: &RunConfig) -> Self {
+        let mut session = TrainingSession::parked(benchmark, seed, config);
+        session.trainer = Some(benchmark.build(seed));
+        session
     }
 
     /// Opens a session from the newest valid snapshot in `sink`, falling
@@ -69,24 +85,9 @@ impl<'a> TrainingSession<'a> {
         config: &RunConfig,
         sink: &dyn CheckpointSink,
     ) -> Self {
-        if let Some(par) = config.parallel {
-            par.install();
-        }
-        let start = Instant::now();
-        let (trainer, progress, resumed_from) =
-            match latest_valid_restore(benchmark, seed, config, sink) {
-                Some((t, p, epoch)) => (t, p, Some(epoch)),
-                None => (benchmark.build(seed), PartialRun::fresh(), None),
-            };
-        TrainingSession {
-            benchmark,
-            seed,
-            config: *config,
-            trainer: Some(trainer),
-            progress,
-            resumed_from,
-            start,
-        }
+        let mut session = TrainingSession::parked(benchmark, seed, config);
+        session.resumed_from = session.unpark(sink);
+        session
     }
 
     /// The benchmark this session trains.
@@ -97,6 +98,11 @@ impl<'a> TrainingSession<'a> {
     /// The session's seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The session's run configuration.
+    pub fn config(&self) -> &RunConfig {
+        &self.config
     }
 
     /// Epochs committed so far.
@@ -125,65 +131,125 @@ impl<'a> TrainingSession<'a> {
         self.trainer.is_none()
     }
 
-    fn trainer_mut(&mut self) -> &mut dyn Trainer {
+    /// The live trainer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is parked.
+    pub fn trainer(&self) -> &dyn Trainer {
         self.trainer
-            .as_deref_mut()
-            .expect("session is parked; unpark before stepping")
+            .as_deref()
+            .expect("session is parked; unpark before use")
     }
 
-    /// Runs the next epoch's training pass and returns its mean loss
-    /// *without* committing it — the split exists so supervised drivers can
-    /// inspect (or override) the loss before it enters the trace.
+    /// The live trainer, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is parked.
+    pub fn trainer_mut(&mut self) -> &mut dyn Trainer {
+        self.trainer
+            .as_deref_mut()
+            .expect("session is parked; unpark before use")
+    }
+
+    /// Commits `loss` as the next epoch's training loss and returns that
+    /// (1-based) epoch.
+    pub fn commit_loss(&mut self, loss: f32) -> usize {
+        self.progress.loss_trace.push(loss);
+        self.progress.epochs_run += 1;
+        self.progress.epochs_run
+    }
+
+    /// Whether the last committed epoch evaluates: every `eval_every`
+    /// epochs, plus always at the epoch cap.
+    pub fn eval_due(&self) -> bool {
+        let epoch = self.progress.epochs_run;
+        epoch.is_multiple_of(self.config.eval_every.max(1)) || epoch == self.config.max_epochs
+    }
+
+    /// Records `quality` as the last committed epoch's evaluation and
+    /// returns whether it met the benchmark's target (which converges the
+    /// session).
+    pub fn record_quality(&mut self, quality: f64) -> bool {
+        let epoch = self.progress.epochs_run;
+        self.progress.quality_trace.push((epoch, quality));
+        self.progress.final_quality = quality;
+        let met = self.benchmark.target.met_by(quality);
+        if met {
+            self.progress.epochs_to_target = Some(epoch);
+        }
+        met
+    }
+
+    /// Commits `loss` as the next epoch's result and evaluates if
+    /// [`eval_due`](Self::eval_due). Returns the quality if this epoch
+    /// evaluated.
+    pub fn commit(&mut self, loss: f32) -> Option<f64> {
+        self.commit_loss(loss);
+        if !self.eval_due() {
+            return None;
+        }
+        let quality = self.trainer_mut().evaluate();
+        self.record_quality(quality);
+        Some(quality)
+    }
+
+    /// Trains and commits one epoch. Returns `(loss, quality)`.
     ///
     /// # Panics
     ///
     /// Panics if the session is parked or [`finished`](Self::finished).
-    pub fn train_next(&mut self) -> f32 {
-        assert!(!self.finished(), "session is finished; no epochs left");
-        self.trainer_mut().train_epoch()
-    }
-
-    /// Commits `loss` as the next epoch's result and evaluates on the
-    /// runner's cadence (`eval_every`, plus always at the epoch cap).
-    /// Returns the quality if this epoch evaluated.
-    pub fn commit(&mut self, loss: f32) -> Option<f64> {
-        let epoch = self.progress.epochs_run + 1;
-        self.progress.loss_trace.push(loss);
-        self.progress.epochs_run = epoch;
-        if epoch.is_multiple_of(self.config.eval_every.max(1)) || epoch == self.config.max_epochs {
-            let q = self.trainer_mut().evaluate();
-            self.progress.quality_trace.push((epoch, q));
-            self.progress.final_quality = q;
-            if self.benchmark.target.met_by(q) {
-                self.progress.epochs_to_target = Some(epoch);
-            }
-            Some(q)
-        } else {
-            None
-        }
-    }
-
-    /// Runs and commits one epoch: [`train_next`](Self::train_next) then
-    /// [`commit`](Self::commit). Returns `(loss, quality)`.
     pub fn step(&mut self) -> (f32, Option<f64>) {
-        let loss = self.train_next();
+        assert!(!self.finished(), "session is finished; no epochs left");
+        let loss = self.trainer_mut().train_epoch();
         let quality = self.commit(loss);
         (loss, quality)
     }
 
+    /// Steps the session until it finishes, or until `epoch_budget` epochs
+    /// have run in this call — a simulated kill, after which the session is
+    /// left as a `kill -9` would leave it. With a `sink`, saves a
+    /// checkpoint every `config.checkpoint_every` epochs (never after the
+    /// converging epoch). Returns whether the session finished; a failed
+    /// checkpoint save is an `Err`, since durable progress was requested
+    /// and lost.
+    pub fn run(
+        &mut self,
+        epoch_budget: Option<usize>,
+        mut sink: Option<&mut dyn CheckpointSink>,
+    ) -> Result<bool, CkptError> {
+        let every = self.config.checkpoint_every;
+        let mut executed = 0;
+        while !self.finished() {
+            if epoch_budget.is_some_and(|budget| executed >= budget) {
+                return Ok(false);
+            }
+            executed += 1;
+            self.step();
+            if let Some(sink) = sink.as_deref_mut() {
+                if !self.converged() && every > 0 && self.epochs_run().is_multiple_of(every) {
+                    self.checkpoint(sink)?;
+                }
+            }
+        }
+        Ok(true)
+    }
+
     /// Serializes the session (identity, progress, trainer state) into
     /// snapshot bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is parked: its state is already in the park
+    /// snapshot.
     pub fn snapshot(&self) -> Vec<u8> {
-        let trainer = self
-            .trainer
-            .as_deref()
-            .expect("session is parked; its state is already in the park snapshot");
         snapshot_run(
             self.benchmark,
             self.seed,
             &self.config,
             &self.progress,
-            trainer,
+            self.trainer(),
         )
     }
 
@@ -198,28 +264,38 @@ impl<'a> TrainingSession<'a> {
     /// snapshot was taken at. The session stays queryable (progress,
     /// finished) but cannot step until [`unpark`](Self::unpark)ed.
     pub fn park(&mut self, sink: &mut dyn CheckpointSink) -> Result<usize, CkptError> {
-        let epoch = self.progress.epochs_run;
-        sink.save(epoch, &self.snapshot())?;
+        self.checkpoint(sink)?;
+        Ok(self.park_without_snapshot())
+    }
+
+    /// The park transition without a park snapshot, for when the park
+    /// save failed: drops the trainer at the current epoch anyway and
+    /// returns that epoch. The next [`unpark`](Self::unpark) restores the
+    /// newest surviving snapshot — or restarts from scratch — and the
+    /// driver re-runs the gap.
+    pub fn park_without_snapshot(&mut self) -> usize {
         self.trainer = None;
-        Ok(epoch)
+        self.progress.epochs_run
     }
 
     /// Unparks (or rolls back) the session from the newest valid snapshot
     /// in `sink`, returning the epoch restored from; with no usable
     /// snapshot the session restarts from scratch and `None` is returned.
     pub fn unpark(&mut self, sink: &dyn CheckpointSink) -> Option<usize> {
-        match latest_valid_restore(self.benchmark, self.seed, &self.config, sink) {
-            Some((trainer, progress, epoch)) => {
-                self.trainer = Some(trainer);
-                self.progress = progress;
-                Some(epoch)
-            }
-            None => {
-                self.trainer = Some(self.benchmark.build(self.seed));
-                self.progress = PartialRun::fresh();
-                None
-            }
-        }
+        self.unpark_skipping(sink, 0)
+    }
+
+    /// [`unpark`](Self::unpark), passing over the newest `skip` snapshots
+    /// in `sink` without loading them.
+    pub fn unpark_skipping(&mut self, sink: &dyn CheckpointSink, skip: usize) -> Option<usize> {
+        let restored = restore_newest(self.benchmark, self.seed, &self.config, sink, skip);
+        let (trainer, progress, epoch) = match restored {
+            Some((trainer, progress, epoch)) => (trainer, progress, Some(epoch)),
+            None => (self.benchmark.build(self.seed), PartialRun::fresh(), None),
+        };
+        self.trainer = Some(trainer);
+        self.progress = progress;
+        epoch
     }
 
     /// Closes the session into a [`RunResult`].
@@ -312,7 +388,7 @@ mod tests {
         let config = cfg(2);
         let mut session = TrainingSession::fresh(b, 1, &config);
         session.step();
-        session.trainer = None; // park without saving: the defective path
+        session.park_without_snapshot();
         let empty = MemorySink::new();
         assert_eq!(session.unpark(&empty), None);
         assert_eq!(session.epochs_run(), 0, "lost work restarts from scratch");

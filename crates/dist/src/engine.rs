@@ -26,7 +26,9 @@
 
 use std::collections::BTreeMap;
 
-use aibench_ckpt::{CheckpointSink, CkptError, Restore as _, Snapshot as _, SnapshotFile, State};
+use aibench_ckpt::{
+    newest_valid, CheckpointSink, CkptError, Restore as _, Snapshot as _, SnapshotFile, State,
+};
 use aibench_data::shard::ShardedCursor;
 use aibench_models::DataParallel;
 
@@ -1040,15 +1042,9 @@ pub fn run_data_parallel_resumable(
     cfg: &DistConfig,
     sink: &mut dyn CheckpointSink,
 ) -> DistRunResult {
-    let mut resumed = None;
-    for &epoch in sink.epochs().iter().rev() {
-        if let Ok(Some(bytes)) = sink.load(epoch) {
-            if let Ok(session) = Session::from_snapshot(factory, seed, cfg, &bytes) {
-                resumed = Some((epoch, session));
-                break;
-            }
-        }
-    }
+    let resumed = newest_valid(&*sink, 0, |bytes| {
+        Session::from_snapshot(factory, seed, cfg, bytes)
+    });
     let mut session = match resumed {
         Some((epoch, mut session)) => {
             session.resumed_from = Some(epoch);

@@ -1,6 +1,12 @@
-//! The supervised training loop: runs one benchmark to its quality target
-//! under numeric sentinels, scheduled fault injection, and deterministic
+//! The supervised driver: runs one benchmark to its quality target under
+//! numeric sentinels, scheduled fault injection, and deterministic
 //! recovery policies.
+//!
+//! There is one single-worker session engine, core's
+//! [`TrainingSession`]; [`run_to_quality`](aibench::runner::run_to_quality)
+//! is its plain driver and [`SupervisedSession`] its supervised one. The
+//! session owns the trainer, progress, eval cadence, park/unpark and the
+//! [`RunResult`]; this module adds only what supervision needs on top.
 //!
 //! # Determinism contract
 //!
@@ -16,13 +22,12 @@
 //! time — so the recovery sequence itself replays identically.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
-use aibench::ckpt::{restore_run, snapshot_run, PartialRun};
+use aibench::ckpt::PartialRun;
 use aibench::registry::Benchmark;
 use aibench::runner::{RunConfig, RunResult};
+use aibench::session::TrainingSession;
 use aibench_ckpt::{CheckpointSink, CkptError, MemorySink};
-use aibench_models::Trainer;
 use aibench_tensor::Rng;
 
 use crate::inject;
@@ -238,13 +243,19 @@ pub enum Tick {
 /// [`supervised_run`], opened up so a scheduler (the `aibench-serve`
 /// server) can interleave many sessions on a bounded worker budget.
 ///
+/// The session's training state — trainer, progress, eval cadence, park
+/// and restore, the final [`RunResult`] — is a core [`TrainingSession`];
+/// this struct adds only the supervision state around it: the fault
+/// schedule and its corruption RNG, one-shot bookkeeping, the fault log,
+/// recovery counters, the watchdog budget, the save retry and the
+/// quarantine.
+///
 /// Each call to [`SupervisedSession::tick`] spends one supervision slot —
 /// one epoch attempt, including any injections due, sentinel checks, and
 /// at most one recovery action. Between ticks the session can be
 /// [`park`](SupervisedSession::park)ed (snapshot to its own sink, trainer
 /// dropped) and later [`unpark`](SupervisedSession::unpark)ed; because
-/// every piece of supervision state (injection bookkeeping, corruption RNG
-/// position, recovery counters) stays in the struct and the trainer
+/// every piece of supervision state stays in the struct and the trainer
 /// round-trips through the strict snapshot path, a parked-and-resumed
 /// session is bitwise identical to one that never stopped.
 ///
@@ -252,18 +263,13 @@ pub enum Tick {
 /// the caller's sink (`&mut dyn CheckpointSink` is itself a sink), a
 /// served session owns a private `MemorySink`.
 pub struct SupervisedSession<'a, S: CheckpointSink> {
-    benchmark: &'a Benchmark,
-    seed: u64,
-    config: RunConfig,
+    session: TrainingSession<'a>,
     schedule: FaultSchedule,
     sup: SupervisorConfig,
     sink: S,
     rng: Rng,
     /// Which one-shot schedule entries have fired.
     fired: Vec<bool>,
-    /// `None` while parked: the trainer's state lives in the park snapshot.
-    trainer: Option<Box<dyn Trainer>>,
-    progress: PartialRun,
     faults: Vec<FaultEvent>,
     recoveries: usize,
     executed: usize,
@@ -275,7 +281,6 @@ pub struct SupervisedSession<'a, S: CheckpointSink> {
     save_retry: Option<(usize, usize)>,
     ckpt_abandoned: bool,
     completed: bool,
-    start: Instant,
 }
 
 impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
@@ -289,17 +294,10 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         sup: SupervisorConfig,
         sink: S,
     ) -> Self {
-        if let Some(par) = config.parallel {
-            par.install();
-        }
-        let start = Instant::now();
         SupervisedSession {
-            benchmark,
-            seed,
+            session: TrainingSession::fresh(benchmark, seed, &config),
             rng: Rng::seed_from(schedule.seed),
             fired: vec![false; schedule.injections.len()],
-            trainer: Some(benchmark.build(seed)),
-            progress: PartialRun::fresh(),
             faults: Vec::new(),
             recoveries: 0,
             executed: 0,
@@ -310,19 +308,12 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             save_retry: None,
             ckpt_abandoned: false,
             completed: false,
-            start,
-            config,
             schedule,
             sup,
             sink,
         }
     }
 
-    fn live_trainer(&self) -> &dyn Trainer {
-        self.trainer
-            .as_deref()
-            .expect("session is parked; unpark before use")
-    }
     /// Handles one detected fault per the policy. `pre_step` is true when
     /// the fault was caught before the training step consumed any state —
     /// the only point where in-place gradient sanitizing is sound; the
@@ -347,7 +338,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         match action {
             RecoveryAction::Quarantine => self.quarantine(fault),
             RecoveryAction::SkipAndSanitize { clip_norm } => {
-                let zeroed = inject::sanitize_grads(self.live_trainer(), clip_norm);
+                let zeroed = inject::sanitize_grads(self.session.trainer(), clip_norm);
                 self.recoveries += 1;
                 self.faults.push(FaultEvent {
                     fault,
@@ -400,39 +391,14 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 }
             }
         }
-        let mut restored: Option<(Box<dyn Trainer>, PartialRun, usize)> = None;
-        for (slot, &epoch) in self.sink.epochs().iter().rev().enumerate() {
-            if slot == 0 && skip_newest {
-                continue;
-            }
-            let Ok(Some(bytes)) = self.sink.load(epoch) else {
-                continue;
-            };
-            if let Ok((t, p)) = restore_run(self.benchmark, self.seed, &self.config, &bytes) {
-                restored = Some((t, p, epoch));
-                break;
-            }
-        }
-        let to_epoch = match restored {
-            Some((trainer, progress, epoch)) => {
-                self.trainer = Some(trainer);
-                self.progress = progress;
-                Some(epoch)
-            }
-            None => {
-                self.trainer = Some(self.benchmark.build(self.seed));
-                self.progress = PartialRun::fresh();
-                None
-            }
-        };
+        let to_epoch = self
+            .session
+            .unpark_skipping(&self.sink, usize::from(skip_newest));
         // Restore reset the learning rate to the snapshotted value; apply
         // the reduction on top so the retried trajectory cools down.
         // Snapshots taken later bake the reduction in, so repeated
         // rollbacks compound.
-        self.trainer
-            .as_deref_mut()
-            .expect("rollback always leaves a live trainer")
-            .scale_lr(lr_factor);
+        self.session.trainer_mut().scale_lr(lr_factor);
         self.save_retry = None;
         self.recoveries += 1;
         self.faults.push(FaultEvent {
@@ -457,20 +423,13 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         if !due_cadence && !due_retry {
             return Flow::Proceed;
         }
-        let bytes = snapshot_run(
-            self.benchmark,
-            self.seed,
-            &self.config,
-            &self.progress,
-            self.live_trainer(),
-        );
         let saved = if injected_fail {
             Err(CkptError::Io {
                 op: "save".to_string(),
                 what: "injected sink failure".to_string(),
             })
         } else {
-            self.sink.save(epoch, &bytes)
+            self.session.checkpoint(&mut self.sink)
         };
         let Err(err) = saved else {
             self.save_retry = None;
@@ -517,26 +476,36 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     }
 
     /// Spends one supervision slot: one epoch attempt, including scheduled
-    /// injections, sentinel checks, and at most one recovery action. The
-    /// body performs exactly one iteration of [`supervised_run`]'s loop,
-    /// so driving `tick` until [`Tick::Done`] reproduces it bit for bit.
+    /// injections, sentinel checks, and at most one recovery action.
+    /// Driving `tick` until [`Tick::Done`] is [`supervised_run`].
+    ///
+    /// Serial degradation is scoped to the tick: a degraded session runs
+    /// its slot on one thread and restores the thread count it found on
+    /// entry before returning, so it never leaks into whatever runs next.
     ///
     /// # Panics
     ///
     /// Panics if the session is parked.
     pub fn tick(&mut self) -> Tick {
-        if self.completed || self.progress.epochs_run >= self.config.max_epochs {
+        let ambient_threads = aibench_parallel::threads();
+        let tick = self.attempt_epoch();
+        if self.degraded_serial {
+            aibench_parallel::set_threads(ambient_threads);
+        }
+        tick
+    }
+
+    /// The body of [`tick`](Self::tick).
+    fn attempt_epoch(&mut self) -> Tick {
+        if self.completed || self.session.epochs_run() >= self.session.config().max_epochs {
             self.completed = true;
             return Tick::Done;
         }
-        // Once degraded, every slot runs serially. Degradation is
-        // per-session state reasserted each tick, so a scheduler
-        // interleaving many sessions can restore its ambient thread count
-        // between ticks without losing this session's degradation.
+        // Once degraded, every slot runs serially.
         if self.degraded_serial {
             aibench_parallel::set_threads(1);
         }
-        let epoch = self.progress.epochs_run + 1;
+        let epoch = self.session.epochs_run() + 1;
         self.executed += 1;
         if self.executed > self.budget {
             let fault = TrainFault::BudgetExhausted {
@@ -576,11 +545,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 | FaultKind::GradExplosion { .. }
                 | FaultKind::ParamNan
                 | FaultKind::ParamBitFlip { .. } => {
-                    inject::corrupt(
-                        self.trainer.as_deref().expect("session is parked"),
-                        &mut self.rng,
-                        inj.kind,
-                    );
+                    inject::corrupt(self.session.trainer(), &mut self.rng, inj.kind);
                 }
                 FaultKind::LossValue { value } => loss_override = Some(value),
                 FaultKind::KernelPanic => panic_due = true,
@@ -592,7 +557,8 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
         // Pre-step sentinels — run after injection so fresh damage is
         // caught before the optimizer consumes it.
-        if let Some(fault) = sentinel::check_params(self.live_trainer(), &self.sup.sentinels, epoch)
+        if let Some(fault) =
+            sentinel::check_params(self.session.trainer(), &self.sup.sentinels, epoch)
         {
             match self.handle(fault, true) {
                 Flow::Proceed => {}
@@ -608,7 +574,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         // including inside parallel kernel regions, which the worker
         // pool forwards to the caller — surface here as typed faults.
         let step = {
-            let trainer = self.trainer.as_deref_mut().expect("session is parked");
+            let trainer = self.session.trainer_mut();
             catch_unwind(AssertUnwindSafe(|| {
                 if panic_due {
                     inject::faulty_kernel(epoch);
@@ -637,10 +603,13 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         };
 
         // Post-step loss sentinels (checked against the pre-push trace).
-        let loss_fault =
-            sentinel::check_loss(loss, epoch, &self.progress.loss_trace, &self.sup.sentinels);
-        self.progress.loss_trace.push(loss);
-        self.progress.epochs_run = epoch;
+        let loss_fault = sentinel::check_loss(
+            loss,
+            epoch,
+            &self.session.progress().loss_trace,
+            &self.sup.sentinels,
+        );
+        self.session.commit_loss(loss);
         if let Some(fault) = loss_fault {
             match self.handle(fault, false) {
                 Flow::Proceed => {}
@@ -656,9 +625,9 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         // schedule reproduces its trajectory exactly.
         let mut done = false;
         let mut quality = None;
-        if epoch.is_multiple_of(self.config.eval_every.max(1)) || epoch == self.config.max_epochs {
+        if self.session.eval_due() {
             let evaluated = {
-                let trainer = self.trainer.as_deref_mut().expect("session is parked");
+                let trainer = self.session.trainer_mut();
                 catch_unwind(AssertUnwindSafe(|| trainer.evaluate()))
             };
             let q = match evaluated {
@@ -686,18 +655,13 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             } else {
                 q
             };
-            self.progress.quality_trace.push((epoch, q));
-            self.progress.final_quality = q;
             quality = Some(q);
-            if self.benchmark.target.met_by(q) {
-                self.progress.epochs_to_target = Some(epoch);
-                done = true;
-            }
+            done = self.session.record_quality(q);
             if !done {
                 if let Some(window) = self.sup.sentinels.stall_window {
                     if let Some(fault) = sentinel::check_stall(
-                        &self.benchmark.target,
-                        &self.progress.quality_trace,
+                        &self.session.benchmark().target,
+                        &self.session.progress().quality_trace,
                         window,
                         epoch,
                     ) {
@@ -745,17 +709,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// position, recovery counters, the fault log — stays in the struct,
     /// so an unparked session continues bitwise identically.
     pub fn park(&mut self) -> Result<usize, CkptError> {
-        let epoch = self.progress.epochs_run;
-        let bytes = snapshot_run(
-            self.benchmark,
-            self.seed,
-            &self.config,
-            &self.progress,
-            self.live_trainer(),
-        );
-        self.sink.save(epoch, &bytes)?;
-        self.trainer = None;
-        Ok(epoch)
+        self.session.park(&mut self.sink)
     }
 
     /// The park transition without a park snapshot, for when the park
@@ -766,9 +720,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// re-runs the gap, which the rollback contract makes
     /// bitwise-neutral.
     pub fn park_without_snapshot(&mut self) -> usize {
-        let epoch = self.progress.epochs_run;
-        self.trainer = None;
-        epoch
+        self.session.park_without_snapshot()
     }
 
     /// Unparks the session from the newest valid snapshot in its sink,
@@ -776,39 +728,24 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// survived validation: the session restarted from scratch and the
     /// parked progress is lost (work the scheduler will have to re-run).
     pub fn unpark(&mut self) -> Option<usize> {
-        for &epoch in self.sink.epochs().iter().rev() {
-            let Ok(Some(bytes)) = self.sink.load(epoch) else {
-                continue;
-            };
-            if let Ok((t, p)) = restore_run(self.benchmark, self.seed, &self.config, &bytes) {
-                self.trainer = Some(t);
-                self.progress = p;
-                return Some(epoch);
-            }
-        }
-        self.trainer = Some(self.benchmark.build(self.seed));
-        self.progress = PartialRun::fresh();
-        None
+        self.session.unpark(&self.sink)
     }
 
     /// Whether the session is parked (trainer dropped; state lives in the
     /// park snapshot).
     pub fn is_parked(&self) -> bool {
-        self.trainer.is_none()
+        self.session.is_parked()
     }
 
     /// Whether the session is over: converged, missed its target with no
     /// epochs left, or quarantined.
     pub fn finished(&self) -> bool {
-        self.completed
-            || self.quarantined.is_some()
-            || self.progress.epochs_to_target.is_some()
-            || self.progress.epochs_run >= self.config.max_epochs
+        self.completed || self.quarantined.is_some() || self.session.finished()
     }
 
     /// Epochs committed in the surviving trajectory.
     pub fn epochs_run(&self) -> usize {
-        self.progress.epochs_run
+        self.session.epochs_run()
     }
 
     /// Epochs executed including recovery re-runs.
@@ -818,7 +755,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
     /// The accumulated progress.
     pub fn progress(&self) -> &PartialRun {
-        &self.progress
+        self.session.progress()
     }
 
     /// Every fault detected so far, with the action taken.
@@ -844,17 +781,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
     /// Closes the session into its [`SupervisedRun`] record.
     pub fn into_run(self) -> SupervisedRun {
-        let result = RunResult {
-            code: self.benchmark.id.code().to_string(),
-            seed: self.seed,
-            epochs_run: self.progress.epochs_run,
-            epochs_to_target: self.progress.epochs_to_target,
-            quality_trace: self.progress.quality_trace,
-            loss_trace: self.progress.loss_trace,
-            final_quality: self.progress.final_quality,
-            wall_seconds: self.start.elapsed().as_secs_f64(),
-            resumed_from: None,
-        };
+        let result = self.session.result();
         let outcome = match self.quarantined {
             Some(fault) => Outcome::Quarantined { fault },
             None if result.converged() => {
@@ -906,17 +833,8 @@ pub fn supervised_run_with_sink(
 ) -> SupervisedRun {
     let mut session =
         SupervisedSession::new(benchmark, seed, *config, schedule.clone(), *sup, sink);
-    // Captured after `new` installs `config.parallel`, so degradation
-    // restores the session's own configuration, as before.
-    let prior_threads = aibench_parallel::threads();
     while !matches!(session.tick(), Tick::Done) {}
-    let run = session.into_run();
-    if run.degraded_serial {
-        // Graceful degradation is per-run; restore the ambient thread
-        // configuration for whoever runs next.
-        aibench_parallel::set_threads(prior_threads);
-    }
-    run
+    session.into_run()
 }
 
 #[cfg(test)]

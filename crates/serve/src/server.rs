@@ -513,7 +513,6 @@ impl<'a> ServerCore<'a> {
     /// epoch slot on every running session (ascending id).
     pub fn step(&mut self) {
         self.schedule_tick();
-        let ambient_threads = aibench_parallel::threads();
         let ids: Vec<u64> = self.running.clone();
         for id in ids {
             let tick = self.tick;
@@ -522,12 +521,6 @@ impl<'a> ServerCore<'a> {
                 unreachable!("only active sessions run");
             };
             let outcome = session.tick();
-            if session.degraded_serial() {
-                // A degraded session pins itself to one thread each tick;
-                // restore the ambient configuration so its degradation
-                // never leaks into the sessions ticked after it.
-                aibench_parallel::set_threads(ambient_threads);
-            }
             // Stream any faults the tick surfaced before the tick's own
             // event, preserving detection order.
             for fault in &session.faults()[served.emitted_faults..] {

@@ -199,7 +199,11 @@ fn kernel_panic_degrades_to_serial_and_recovers() {
         .faults
         .iter()
         .any(|e| e.fault.kind() == "kernel-panic" && e.action.kind() == "rollback-serial"));
-    // Degradation restores the ambient thread setting afterwards.
+    assert_eq!(
+        aibench_parallel::threads(),
+        4,
+        "degradation must restore the ambient thread count"
+    );
     ParallelConfig::from_env().install();
 }
 
