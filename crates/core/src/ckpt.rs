@@ -207,8 +207,10 @@ pub(crate) fn restore_newest(
     sink: &dyn CheckpointSink,
     skip: usize,
 ) -> Option<(Box<dyn Trainer>, PartialRun, usize)> {
-    newest_valid(sink, skip, |bytes| restore_run(benchmark, seed, config, bytes))
-        .map(|(epoch, (trainer, progress))| (trainer, progress, epoch))
+    newest_valid(sink, skip, |bytes| {
+        restore_run(benchmark, seed, config, bytes)
+    })
+    .map(|(epoch, (trainer, progress))| (trainer, progress, epoch))
 }
 
 /// The engine behind the resumable runner: resumes from the newest valid

@@ -3,21 +3,14 @@
 //! [`TrainingSession`] is the only owner of a single-worker session's
 //! state: the trainer, the [`PartialRun`] progress, the eval cadence and
 //! target check, park/unpark through [`snapshot_run`] and the strict
-//! restore path, and [`RunResult`] construction. Every single-worker
-//! runner is a driver over it:
-//!
-//! * [`run_to_quality`](crate::runner::run_to_quality) opens a fresh
-//!   session and [`run`](TrainingSession::run)s it to the end;
-//! * the resumable runners in [`crate::ckpt`] resume one from a sink and
-//!   run it with a checkpoint cadence and, for crash simulation, a kill
-//!   budget;
-//! * `aibench-fault`'s `SupervisedSession` wraps one in fault injection,
-//!   sentinels and recovery, stepping it through
-//!   [`commit_loss`](TrainingSession::commit_loss),
-//!   [`eval_due`](TrainingSession::eval_due) and
-//!   [`record_quality`](TrainingSession::record_quality) so it can inspect
-//!   each value before it lands. A scheduler (the `aibench-serve` server)
-//!   parks and resumes those sessions to share a worker budget.
+//! restore path, and [`RunResult`] construction. The single-worker runners
+//! are drivers over it: [`run_to_quality`](crate::runner::run_to_quality)
+//! runs a fresh session to the end, the resumable runners in
+//! [`crate::ckpt`] run a resumed one with a checkpoint cadence and a kill
+//! budget, and `aibench-fault`'s `SupervisedSession` interposes injection,
+//! sentinels and recovery between [`commit_loss`](TrainingSession::commit_loss),
+//! [`eval_due`](TrainingSession::eval_due) and
+//! [`record_quality`](TrainingSession::record_quality).
 //!
 //! # Determinism contract
 //!
@@ -98,11 +91,6 @@ impl<'a> TrainingSession<'a> {
     /// The session's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The session's run configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.config
     }
 
     /// Epochs committed so far.

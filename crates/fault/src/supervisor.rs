@@ -218,6 +218,17 @@ enum Flow {
     Stop,
 }
 
+impl Flow {
+    /// The tick a handled fault cuts the slot short with, if any.
+    fn cut_short(self) -> Option<Tick> {
+        match self {
+            Flow::Proceed => None,
+            Flow::Restart => Some(Tick::Recovering),
+            Flow::Stop => Some(Tick::Done),
+        }
+    }
+}
+
 /// What one [`SupervisedSession::tick`] accomplished.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tick {
@@ -280,7 +291,6 @@ pub struct SupervisedSession<'a, S: CheckpointSink> {
     /// Pending checkpoint-save retry: `(retry_epoch, attempt)`.
     save_retry: Option<(usize, usize)>,
     ckpt_abandoned: bool,
-    completed: bool,
 }
 
 impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
@@ -307,7 +317,6 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
             frozen_quality: None,
             save_retry: None,
             ckpt_abandoned: false,
-            completed: false,
             schedule,
             sup,
             sink,
@@ -497,8 +506,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
 
     /// The body of [`tick`](Self::tick).
     fn attempt_epoch(&mut self) -> Tick {
-        if self.completed || self.session.epochs_run() >= self.session.config().max_epochs {
-            self.completed = true;
+        if self.finished() {
             return Tick::Done;
         }
         // Once degraded, every slot runs serially.
@@ -513,7 +521,6 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 budget: self.budget,
             };
             self.quarantine(fault);
-            self.completed = true;
             return Tick::Done;
         }
 
@@ -560,13 +567,8 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         if let Some(fault) =
             sentinel::check_params(self.session.trainer(), &self.sup.sentinels, epoch)
         {
-            match self.handle(fault, true) {
-                Flow::Proceed => {}
-                Flow::Restart => return Tick::Recovering,
-                Flow::Stop => {
-                    self.completed = true;
-                    return Tick::Done;
-                }
+            if let Some(tick) = self.handle(fault, true).cut_short() {
+                return tick;
             }
         }
 
@@ -592,13 +594,10 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                 // A panic mid-step leaves the trainer in an unknown
                 // state: the only sound continuations are rollback or
                 // quarantine (`handle` coerces sanitize away).
-                return match self.handle(fault, false) {
-                    Flow::Proceed | Flow::Restart => Tick::Recovering,
-                    Flow::Stop => {
-                        self.completed = true;
-                        Tick::Done
-                    }
-                };
+                return self
+                    .handle(fault, false)
+                    .cut_short()
+                    .unwrap_or(Tick::Recovering);
             }
         };
 
@@ -611,13 +610,8 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
         );
         self.session.commit_loss(loss);
         if let Some(fault) = loss_fault {
-            match self.handle(fault, false) {
-                Flow::Proceed => {}
-                Flow::Restart => return Tick::Recovering,
-                Flow::Stop => {
-                    self.completed = true;
-                    return Tick::Done;
-                }
+            if let Some(tick) = self.handle(fault, false).cut_short() {
+                return tick;
             }
         }
 
@@ -637,13 +631,10 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                         epoch,
                         message: inject::panic_message(&*payload),
                     };
-                    return match self.handle(fault, false) {
-                        Flow::Proceed | Flow::Restart => Tick::Recovering,
-                        Flow::Stop => {
-                            self.completed = true;
-                            Tick::Done
-                        }
-                    };
+                    return self
+                        .handle(fault, false)
+                        .cut_short()
+                        .unwrap_or(Tick::Recovering);
                 }
             };
             // A frozen evaluation keeps reporting the first quality
@@ -665,41 +656,27 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
                         window,
                         epoch,
                     ) {
-                        match self.handle(fault, false) {
-                            Flow::Proceed => {}
-                            Flow::Restart => return Tick::Recovering,
-                            Flow::Stop => {
-                                self.completed = true;
-                                return Tick::Done;
-                            }
+                        if let Some(tick) = self.handle(fault, false).cut_short() {
+                            return tick;
                         }
                     }
                 }
             }
         }
+        let progressed = Tick::Progressed {
+            epoch,
+            loss,
+            quality,
+        };
         if done {
-            self.completed = true;
-            return Tick::Progressed {
-                epoch,
-                loss,
-                quality,
-            };
+            return progressed;
         }
 
         // Rollback snapshot, after all of the epoch's checks passed —
         // a snapshot is only ever taken of state the sentinels cleared.
-        match self.maybe_save(epoch, save_fail) {
-            Flow::Proceed => Tick::Progressed {
-                epoch,
-                loss,
-                quality,
-            },
-            Flow::Restart => Tick::Recovering,
-            Flow::Stop => {
-                self.completed = true;
-                Tick::Done
-            }
-        }
+        self.maybe_save(epoch, save_fail)
+            .cut_short()
+            .unwrap_or(progressed)
     }
 
     /// Parks the session between ticks: saves a snapshot at the current
@@ -740,7 +717,7 @@ impl<'a, S: CheckpointSink> SupervisedSession<'a, S> {
     /// Whether the session is over: converged, missed its target with no
     /// epochs left, or quarantined.
     pub fn finished(&self) -> bool {
-        self.completed || self.quarantined.is_some() || self.session.finished()
+        self.quarantined.is_some() || self.session.finished()
     }
 
     /// Epochs committed in the surviving trajectory.
